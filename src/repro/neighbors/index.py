@@ -13,9 +13,26 @@ The cache is lazy and can be capped at a maximum ordering length so that the
 memory cost stays ``O(n · max_length)`` rather than ``O(n²)``.
 
 :meth:`NeighborOrderCache.order_matrix` additionally materialises *all*
-orderings at once as a dense ``(n, max_length)`` matrix, computed block-wise
-from pairwise-distance chunks with a single stable argsort per block — the
-entry point the vectorized learning kernels build on.
+orderings at once as a dense ``(n, max_length)`` matrix — the entry point
+the vectorized learning kernels build on.  It is built by an exact
+box-pruned kernel rather than an ``n × n`` scan: the indexed matrix is taken
+once, split into spatial leaves by the median-split builder of
+:class:`~repro.neighbors.kdtree.KDTreeNeighbors`, and each leaf's rows (the
+*query block*) are ranked against the data leaves that can matter.  Per
+block, a data leaf's lower bound is the cache's own metric applied to the
+per-coordinate gaps between the two bounding boxes (every metric here is
+monotone in those gaps, and the bound is scaled down by a tiny relative
+slack so rounding can only keep a leaf, never drop one).  The threshold is
+the largest per-row ``select``-th distance over the nearest leaves holding
+at least ``select`` points; every leaf whose bound is at most the threshold
+is kept, and one distance block against the kept points, in index order,
+goes through the same ``topk_batch``/``stable_order``/``drop_self_rows``
+finish as a full row.  The result is bit-identical to the full scan: each
+pair's distance is computed independently of the block it sits in (the
+property :meth:`~repro.online.store.StoreFeatureView.pairwise` relies on
+too), candidates ascend by index so index tie-breaks survive, and every
+excluded point is strictly farther than the threshold, hence outside every
+row's top ``select``.
 
 :meth:`NeighborOrderCache.append` grows the cache *incrementally*: new
 tuples are merged into every cached ordering by one sorted merge per row
@@ -69,6 +86,15 @@ __all__ = [
 ]
 
 _BACKENDS = ("brute", "kdtree")
+
+# Leaf lower bounds are scaled down by this factor, so a rounding difference
+# between a bound and the distances it bounds can keep a leaf, never drop one.
+_BOUND_SCALE = 1.0 - 1e-9
+
+
+def _leaf_size(chunk_size: Optional[int]) -> int:
+    """The validated ``chunk_size`` of :meth:`NeighborOrderCache.order_matrix`."""
+    return 48 if chunk_size is None else check_positive_int(chunk_size, "chunk_size")
 
 
 class NeighborIndex:
@@ -332,49 +358,100 @@ class NeighborOrderCache:
     def order_matrix(self, chunk_size: Optional[int] = None) -> np.ndarray:
         """All orderings as one ``(n, L)`` matrix (``L`` = effective length).
 
-        The matrix is built block-wise: one pairwise-distance chunk per
-        block, one stable argsort (ties broken by index, exactly like the
-        per-row ``np.lexsort`` of :meth:`order_of`), and — without
-        ``include_self`` — one masked removal of the diagonal entry.  The
-        result is cached, after which :meth:`order_of` and :meth:`prefix`
-        become O(1) row views.
+        Built by the exact box-pruned kernel of the module docstring: each
+        spatial leaf's rows are ranked against only the leaves whose
+        bounding box can hold one of their ``L`` nearest neighbours, with
+        ties broken by index exactly like the per-row ``np.lexsort`` of
+        :meth:`order_of`.  The result is cached, after which
+        :meth:`order_of` and :meth:`prefix` become O(1) row views.
 
         Parameters
         ----------
         chunk_size:
-            Number of query rows per distance block; defaults to a size
-            keeping the ``(chunk, n)`` distance block near ~100k floats
-            (measured fastest: the block plus its argpartition scratch
-            stay cache-resident).
+            Leaf size of the spatial partition, i.e. the most query rows
+            ranked per distance block.  The default 48 gives leaves of
+            24–48 rows: small enough for tight boxes and cache-sized
+            distance blocks, large enough to amortise the per-block
+            bookkeeping (32 and 64 both measured slower on some of the
+            registered datasets).
         """
+        chunk_size = _leaf_size(chunk_size)
         if self._matrix is not None:
             return self._matrix
-        n = self.n_points
+        self._matrix, dists = self._ranked(chunk_size)
+        self._dists = dists if self.keep_distances else None
+        self._cache.clear()
+        return self._matrix
+
+    def _ranked(self, chunk_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every tuple's ordering and its distances, by the pruned kernel."""
+        data = self._data.materialize() if self._store_backed else self._data
+        n, width = data.shape
         length = self.effective_length()
-        if chunk_size is None:
-            chunk_size = max(32, min(n, 100_000 // max(1, n)))
+        orders = np.empty((n, length), dtype=int)
+        dists = np.empty((n, length))
+        if n == 0:
+            return orders, dists
         # Without include_self the self entry must be dropped from the kept
         # prefix, so one extra ordered position is selected per row.
         select = min(n, length + (0 if self.include_self else 1))
-        out = np.empty((n, length), dtype=int)
-        out_dists = np.empty((n, length)) if self.keep_distances else None
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            distances = self._pairwise(self._data[start:stop])
-            if select < n:
-                _, order = topk_batch(distances, select)
-            else:
-                order = stable_order(distances)
-            if not self.include_self:
-                order = drop_self_rows(order, np.arange(start, stop))
-            order = order[:, :length]
-            out[start:stop] = order
-            if out_dists is not None:
-                out_dists[start:stop] = np.take_along_axis(distances, order, axis=1)
-        self._matrix = out
-        self._dists = out_dists
-        self._cache.clear()
-        return out
+        leaves = KDTreeNeighbors(leaf_size=chunk_size).fit(data).leaves()
+        sizes = np.array([leaf.size for leaf in leaves])
+        leaf_of = np.empty(n, dtype=int)
+        for number, leaf in enumerate(leaves):
+            leaf_of[leaf] = number
+        lows = np.array([data[leaf].min(axis=0) for leaf in leaves])
+        highs = np.array([data[leaf].max(axis=0) for leaf in leaves])
+        zeros = np.zeros((1, width))
+        for leaf in leaves:
+            for start in range(0, leaf.size, chunk_size):
+                rows = leaf[start : start + chunk_size]
+                query = data[rows]
+                gaps = np.maximum(
+                    np.maximum(lows - query.max(axis=0), query.min(axis=0) - highs),
+                    0.0,
+                )
+                bounds = self._metric_fn(gaps, zeros)[:, 0] * _BOUND_SCALE
+                nearest = np.argsort(bounds, kind="stable")
+                enough = int(np.searchsorted(np.cumsum(sizes[nearest]), select)) + 1
+                chosen = np.zeros(len(leaves), dtype=bool)
+                chosen[nearest[:enough]] = True
+                candidates = np.flatnonzero(chosen[leaf_of])
+                distances = self._metric_fn(query, data[candidates])
+                if enough < len(leaves):
+                    # The nearest leaves hold >= select points per row, so no
+                    # row's select-th neighbour is beyond ``threshold``, and
+                    # every point that close sits in a leaf bounded by it.
+                    threshold = np.partition(distances, select - 1, axis=1)[
+                        :, select - 1
+                    ].max()
+                    candidates = np.flatnonzero((bounds <= threshold)[leaf_of])
+                    distances = self._metric_fn(query, data[candidates])
+                cols, kept = self._rank(
+                    distances, np.searchsorted(candidates, rows), length
+                )
+                orders[rows] = candidates[cols]
+                dists[rows] = kept
+        return orders, dists
+
+    def _rank(
+        self, distances: np.ndarray, self_cols: np.ndarray, length: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Columns of each row's ``length`` nearest entries, and their distances.
+
+        Columns must ascend with tuple index (ties break by column) and hold
+        every entry of the row's top ``length`` (+1 without include_self);
+        without include_self, column ``self_cols[r]`` is dropped from row ``r``.
+        """
+        select = min(distances.shape[1], length + (0 if self.include_self else 1))
+        if select < distances.shape[1]:
+            _, order = topk_batch(distances, select)
+        else:
+            order = stable_order(distances)
+        if not self.include_self:
+            order = drop_self_rows(order, self_cols)
+        order = order[:, :length]
+        return order, np.take_along_axis(distances, order, axis=1)
 
     def prefix(self, index: int, length: int) -> np.ndarray:
         """``NN(t_index, F, length)`` as a prefix of the cached ordering."""
@@ -486,16 +563,8 @@ class NeighborOrderCache:
 
         # --- Orderings of the appended tuples (cold path over the full
         # store, truncated selection exactly like order_matrix()).
-        select = min(n_after, new_length + (0 if self.include_self else 1))
-        if select < n_after:
-            _, appended_order = topk_batch(appended_distances, select)
-        else:
-            appended_order = stable_order(appended_distances)
-        if not self.include_self:
-            appended_order = drop_self_rows(appended_order, new_indices)
-        appended_order = appended_order[:, :new_length]
-        appended_order_dists = np.take_along_axis(
-            appended_distances, appended_order, axis=1
+        appended_order, appended_order_dists = self._rank(
+            appended_distances, new_indices, new_length
         )
 
         # --- Merge the new candidates into every pre-existing ordering.
@@ -603,16 +672,9 @@ class NeighborOrderCache:
         deficit = np.flatnonzero(counts < new_length)
         if deficit.size:
             distances = self._pairwise(self._data[deficit])
-            select = min(n_after, new_length + (0 if self.include_self else 1))
-            if select < n_after:
-                _, order = topk_batch(distances, select)
-            else:
-                order = stable_order(distances)
-            if not self.include_self:
-                order = drop_self_rows(order, deficit)
-            order = order[:, :new_length]
-            new_orders[deficit] = order
-            new_dists[deficit] = np.take_along_axis(distances, order, axis=1)
+            new_orders[deficit], new_dists[deficit] = self._rank(
+                distances, deficit, new_length
+            )
 
         # First changed position per survivor: compare neighbour identities
         # against the old prefix (removed entries map to -1, never equal).
@@ -706,16 +768,7 @@ class NeighborOrderCache:
                 refill.append(index)
         refill = np.asarray(sorted(refill), dtype=int)
         distances = self._pairwise(self._data[refill])
-        select = min(n, length + (0 if self.include_self else 1))
-        if select < n:
-            _, order = topk_batch(distances, select)
-        else:
-            order = stable_order(distances)
-        if not self.include_self:
-            order = drop_self_rows(order, refill)
-        order = order[:, :length]
-        new_orders[refill] = order
-        new_dists[refill] = np.take_along_axis(distances, order, axis=1)
+        new_orders[refill], new_dists[refill] = self._rank(distances, refill, length)
 
         differs = new_orders != old_orders
         first_changed = np.where(differs.any(axis=1), differs.argmax(axis=1), length)
@@ -727,23 +780,15 @@ class NeighborOrderCache:
 
     def _ensure_distances(self, chunk_size: Optional[int] = None) -> np.ndarray:
         """Backfill the distance matrix for already-materialised orderings."""
-        if self._dists is not None:
-            return self._dists
-        matrix = self.order_matrix()
-        if self._dists is not None:  # order_matrix built both just now
-            return self._dists
-        n = self.n_points
-        if chunk_size is None:
-            chunk_size = max(32, min(n, 100_000 // max(1, n)))
-        dists = np.empty(matrix.shape)
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            distances = self._pairwise(self._data[start:stop])
-            dists[start:stop] = np.take_along_axis(
-                distances, matrix[start:stop], axis=1
-            )
-        self._dists = dists
-        return dists
+        chunk_size = _leaf_size(chunk_size)
+        if self._dists is None:
+            # The kernel is deterministic: its orderings equal the cached
+            # ones, so only the aligned distances are installed.
+            orders, self._dists = self._ranked(chunk_size)
+            if self._matrix is None:
+                self._matrix = orders
+                self._cache.clear()
+        return self._dists
 
     def restore_matrix(self, orders: np.ndarray, dists: np.ndarray) -> None:
         """Install previously materialised orderings (artifact restore path).

@@ -144,6 +144,22 @@ class KDTreeNeighbors:
 
         return walk(self._root)
 
+    def leaves(self) -> List[np.ndarray]:
+        """Point indices of every leaf bucket, in depth-first (spatial) order.
+
+        Each array ascends; together they partition ``range(n_points)``.
+        """
+        self._check_fitted()
+        out: List[np.ndarray] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                out.append(node.indices)
+            else:
+                stack += [node.right, node.left]
+        return out
+
     def _check_fitted(self) -> None:
         if self._data is None or self._root is None:
             raise NotFittedError("KDTreeNeighbors must be fitted before querying")
