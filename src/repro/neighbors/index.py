@@ -50,7 +50,8 @@ carrying slot references into the shared columnar tuple store instead of a
 slot references (``append(slots=...)`` / ``replace(index, slot=...)``),
 row values are gathered from the store on demand, and pairwise distances
 are computed per shard — bit-identical to the matrix mode, without the
-cache owning any tuple payload.
+cache owning any tuple payload.  Only :meth:`~NeighborOrderCache.order_matrix`
+gathers the whole view, once per build, into a matrix it drops afterwards.
 
 :meth:`NeighborOrderCache.remove` and :meth:`NeighborOrderCache.replace`
 complete the tuple lifecycle.  Removal compacts every cached ordering (an
@@ -370,10 +371,8 @@ class NeighborOrderCache:
         chunk_size:
             Leaf size of the spatial partition, i.e. the most query rows
             ranked per distance block.  The default 48 gives leaves of
-            24–48 rows: small enough for tight boxes and cache-sized
-            distance blocks, large enough to amortise the per-block
-            bookkeeping (32 and 64 both measured slower on some of the
-            registered datasets).
+            24–48 rows (leaves of 16–32 rows measured slower on 10k rows of
+            4-D data, leaves of 32–64 rows on 4k rows of 12-D data).
         """
         chunk_size = _leaf_size(chunk_size)
         if self._matrix is not None:
