@@ -107,22 +107,26 @@ def _cmd_serve(args) -> int:
     # Wire-supplied save/restore paths are confined to the artifact root
     # (default: the working directory) so clients cannot touch the rest of
     # the filesystem.
-    server = SessionServer(
-        artifact_root=args.artifact_root,
-        wal_root=args.wal_dir,
-        wal_sync=args.sync,
-        deadline_seconds=args.deadline,
-        max_request_bytes=args.max_request_bytes,
-        trace_log=args.trace_log,
-        trace_sample=args.trace_sample,
-        workers=args.workers,
-        microbatch_window_ms=args.microbatch_window_ms,
-        microbatch_max_rows=args.microbatch_max_rows,
-        max_rows_per_request=args.max_rows_per_request,
-        max_sessions=args.max_sessions,
-        max_queued_requests=args.max_queued_requests,
-        auth_token=args.auth_token,
-    )
+    try:
+        server = SessionServer(
+            artifact_root=args.artifact_root,
+            wal_root=args.wal_dir,
+            wal_sync=args.sync,
+            deadline_seconds=args.deadline,
+            max_request_bytes=args.max_request_bytes,
+            trace_log=args.trace_log,
+            trace_sample=args.trace_sample,
+            workers=args.workers,
+            microbatch_window_ms=args.microbatch_window_ms,
+            microbatch_max_rows=args.microbatch_max_rows,
+            max_rows_per_request=args.max_rows_per_request,
+            max_sessions=args.max_sessions,
+            max_queued_requests=args.max_queued_requests,
+            auth_token=args.auth_token,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.port is not None:
         print(
             f"serving JSONL sessions on {args.host}:{args.port} "

@@ -44,6 +44,7 @@ engine (:mod:`repro.online`):
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from typing import Optional
@@ -172,7 +173,7 @@ def get_backend() -> str:
 def set_backend(name: str) -> str:
     """Select the process-wide kernel backend; returns the previous one."""
     global _current_backend
-    previous = _current_backend
+    previous = get_backend()
     _current_backend = _validate(name)
     return previous
 
@@ -194,7 +195,7 @@ def use_backend(name: str):
 
 def resolve_backend(backend=None) -> str:
     """Resolve an optional per-call ``backend`` argument against the knob."""
-    if backend is None:
+    if backend is None or (isinstance(backend, str) and backend == "default"):
         return get_backend()
     return _validate(backend)
 
@@ -300,7 +301,7 @@ def get_online_model_cache_size() -> Optional[int]:
 def set_online_model_cache_size(size) -> Optional[int]:
     """Select the process-wide model cache size; returns the previous one."""
     global _online_model_cache_size
-    previous = _online_model_cache_size
+    previous = get_online_model_cache_size()
     _online_model_cache_size = _validate_cache_size(size)
     return previous
 
@@ -324,14 +325,14 @@ def get_online_refresh_policy() -> str:
 def set_online_refresh_policy(policy) -> str:
     """Select the process-wide refresh policy; returns the previous one."""
     global _online_refresh_policy
-    previous = _online_refresh_policy
+    previous = get_online_refresh_policy()
     _online_refresh_policy = _validate_refresh_policy(policy)
     return previous
 
 
 def resolve_online_refresh_policy(policy=None) -> str:
     """Resolve an optional per-engine refresh policy against the knob."""
-    if policy is None:
+    if policy is None or (isinstance(policy, str) and policy == "default"):
         return get_online_refresh_policy()
     return _validate_refresh_policy(policy)
 
@@ -344,7 +345,7 @@ def get_online_fallback_fraction() -> Optional[float]:
 def set_online_fallback_fraction(fraction):
     """Select the process-wide fallback fraction; returns the previous one."""
     global _online_fallback_fraction
-    previous = _online_fallback_fraction
+    previous = get_online_fallback_fraction()
     _online_fallback_fraction = _validate_fallback_fraction(fraction)
     return previous
 
@@ -430,7 +431,7 @@ def get_online_shard_capacity() -> int:
 def set_online_shard_capacity(capacity):
     """Select the process-wide shard capacity; returns the previous one."""
     global _online_shard_capacity
-    previous = _online_shard_capacity
+    previous = get_online_shard_capacity()
     _online_shard_capacity = _validate_positive_knob(capacity, "shard capacity")
     return previous
 
@@ -450,7 +451,7 @@ def get_online_journal_capacity() -> int:
 def set_online_journal_capacity(capacity):
     """Select the process-wide journal capacity; returns the previous one."""
     global _online_journal_capacity
-    previous = _online_journal_capacity
+    previous = get_online_journal_capacity()
     _online_journal_capacity = _validate_positive_knob(capacity, "journal capacity")
     return previous
 
@@ -470,7 +471,7 @@ def get_online_delete_cost_mode() -> str:
 def set_online_delete_cost_mode(mode):
     """Select the process-wide delete cost mode; returns the previous one."""
     global _online_delete_cost_mode
-    previous = _online_delete_cost_mode
+    previous = get_online_delete_cost_mode()
     _online_delete_cost_mode = _validate_delete_cost_mode(mode)
     return previous
 
@@ -563,7 +564,7 @@ def _validate_request_deadline(deadline) -> Optional[float]:
             f"got {deadline!r}"
         )
     deadline = float(deadline)
-    if deadline <= 0:
+    if not math.isfinite(deadline) or deadline <= 0:
         raise ConfigurationError(
             f"request deadline must be positive, got {deadline}"
         )
@@ -587,7 +588,7 @@ def get_wal_sync() -> str:
 def set_wal_sync(policy) -> str:
     """Select the process-wide WAL sync policy; returns the previous one."""
     global _wal_sync
-    previous = _wal_sync
+    previous = get_wal_sync()
     _wal_sync = _validate_wal_sync(policy)
     return previous
 
@@ -607,7 +608,7 @@ def get_max_request_bytes() -> Optional[int]:
 def set_max_request_bytes(limit):
     """Select the process-wide request-line bound; returns the previous one."""
     global _max_request_bytes
-    previous = _max_request_bytes
+    previous = get_max_request_bytes()
     _max_request_bytes = _validate_max_request_bytes(limit)
     return previous
 
@@ -631,7 +632,7 @@ def get_request_deadline() -> Optional[float]:
 def set_request_deadline(deadline):
     """Select the process-wide request deadline; returns the previous one."""
     global _request_deadline
-    previous = _request_deadline
+    previous = get_request_deadline()
     _request_deadline = _validate_request_deadline(deadline)
     return previous
 
@@ -708,7 +709,7 @@ def _validate_microbatch_window(value) -> float:
             f"milliseconds, got {value!r}"
         )
     value = float(value)
-    if value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise ConfigurationError(
             f"microbatch window must be non-negative, got {value}"
         )
@@ -739,7 +740,7 @@ def get_serve_workers() -> int:
 def set_serve_workers(workers):
     """Select the process-wide worker-pool size; returns the previous one."""
     global _serve_workers
-    previous = _serve_workers
+    previous = get_serve_workers()
     _serve_workers = _validate_positive_knob(workers, "serve workers")
     return previous
 
@@ -759,7 +760,7 @@ def get_microbatch_window_ms() -> float:
 def set_microbatch_window_ms(window):
     """Select the process-wide coalescing window; returns the previous one."""
     global _microbatch_window_ms
-    previous = _microbatch_window_ms
+    previous = get_microbatch_window_ms()
     _microbatch_window_ms = _validate_microbatch_window(window)
     return previous
 
@@ -779,7 +780,7 @@ def get_microbatch_max_rows() -> int:
 def set_microbatch_max_rows(rows):
     """Select the process-wide micro-batch row bound; returns the previous one."""
     global _microbatch_max_rows
-    previous = _microbatch_max_rows
+    previous = get_microbatch_max_rows()
     _microbatch_max_rows = _validate_positive_knob(rows, "microbatch max rows")
     return previous
 
@@ -801,7 +802,7 @@ def get_max_rows_per_request() -> Optional[int]:
 def set_max_rows_per_request(rows):
     """Select the process-wide per-request row quota; returns the previous one."""
     global _max_rows_per_request
-    previous = _max_rows_per_request
+    previous = get_max_rows_per_request()
     _max_rows_per_request = _validate_optional_positive_knob(
         rows, "max rows per request"
     )
@@ -827,7 +828,7 @@ def get_max_sessions() -> Optional[int]:
 def set_max_sessions(limit):
     """Select the process-wide live-session quota; returns the previous one."""
     global _max_sessions
-    previous = _max_sessions
+    previous = get_max_sessions()
     _max_sessions = _validate_optional_positive_knob(limit, "max sessions")
     return previous
 
@@ -851,7 +852,7 @@ def get_max_queued_requests() -> int:
 def set_max_queued_requests(limit):
     """Select the process-wide queue bound; returns the previous one."""
     global _max_queued_requests
-    previous = _max_queued_requests
+    previous = get_max_queued_requests()
     _max_queued_requests = _validate_positive_knob(limit, "max queued requests")
     return previous
 
@@ -943,7 +944,7 @@ def set_obs_enabled(value) -> bool:
     instrument — the registry and every helper consult it per call.
     """
     global _obs_enabled
-    previous = _validate_obs_enabled(_obs_enabled)
+    previous = get_obs_enabled()
     _obs_enabled = _validate_obs_enabled(value)
     return previous
 
@@ -970,7 +971,7 @@ def get_obs_trace_sample() -> float:
 def set_obs_trace_sample(value) -> float:
     """Select the process-wide trace sampling rate; returns the previous one."""
     global _obs_trace_sample
-    previous = _validate_obs_trace_sample(_obs_trace_sample)
+    previous = get_obs_trace_sample()
     _obs_trace_sample = _validate_obs_trace_sample(value)
     return previous
 
@@ -1026,7 +1027,7 @@ def get_query_provenance() -> bool:
 def set_query_provenance(value) -> bool:
     """Enable/disable query provenance capture; returns the previous value."""
     global _query_provenance
-    previous = _validate_query_provenance(_query_provenance)
+    previous = get_query_provenance()
     _query_provenance = _validate_query_provenance(value)
     return previous
 
@@ -1099,7 +1100,7 @@ def get_scenario_transport() -> str:
 def set_scenario_transport(value) -> str:
     """Select the scenario replay transport; returns the previous one."""
     global _scenario_transport
-    previous = _validate_scenario_transport(_scenario_transport)
+    previous = get_scenario_transport()
     _scenario_transport = _validate_scenario_transport(value)
     return previous
 
@@ -1119,7 +1120,7 @@ def get_scenario_digest_check() -> bool:
 def set_scenario_digest_check(value) -> bool:
     """Enable/disable the golden-digest pre-check; returns the previous value."""
     global _scenario_digest_check
-    previous = _validate_scenario_digest_check(_scenario_digest_check)
+    previous = get_scenario_digest_check()
     _scenario_digest_check = _validate_scenario_digest_check(value)
     return previous
 
