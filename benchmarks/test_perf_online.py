@@ -300,7 +300,6 @@ def test_online_large_store(profile, record_result):
     assert np.array_equal(idx_s, idx_b) and np.array_equal(dist_s, dist_b)
 
     n = store.n_live
-    legacy_per_state = n * width * 8  # feature submatrix + target copy
     section = {
         "n_rows": n,
         "width": width,
@@ -313,9 +312,7 @@ def test_online_large_store(profile, record_result):
         "updates_per_second": n_updates / update_seconds,
         "query_seconds": query_seconds,
         "store_bytes": store.nbytes,
-        "legacy_per_state_copy_bytes": legacy_per_state,
         "state_slot_bytes": int(n * 8),
-        "copy_elimination_ratio": legacy_per_state / (n * 8),
     }
     _merge_report(large_store=section)
     record_result(
@@ -327,14 +324,8 @@ def test_online_large_store(profile, record_result):
         f"{n_updates} updates {update_seconds:.3f}s\n"
         f"64-query k=10 sharded top-K merge {query_seconds * 1000:.1f} ms "
         f"(== brute force bit-for-bit)\n"
-        f"per-state resident: {n * 8 / 1e6:.1f} MB slots vs "
-        f"{legacy_per_state / 1e6:.1f} MB legacy copies "
-        f"({legacy_per_state / (n * 8):.0f}x eliminated)",
+        f"per-state resident: {n * 8 / 1e6:.1f} MB slots",
     )
-
-    # The memory claim, in numbers: a view costs one int64 per row; the
-    # legacy engine kept width× that in float copies per cached state.
-    assert legacy_per_state / (n * 8) >= width
 
 
 def test_online_snapshot_roundtrip_cost(profile, record_result, tmp_path):

@@ -6,8 +6,7 @@ service layer:
 * ``impute`` — one-shot batch imputation of a CSV file with any registry
   method (``python -m repro impute dirty.csv --method IIM --output clean.csv``);
 * ``replay`` — the streaming/lifecycle CSV-trace replay against the online
-  engine (subsumes the deprecated ``python -m repro.online`` entry point;
-  same arguments);
+  engine;
 * ``serve`` — the JSONL serve loop over stdio or a TCP socket
   (``python -m repro serve --stdio``, ``python -m repro serve --port 7007``),
   with crash-safe durability via ``--wal-dir`` and request hardening via
@@ -103,11 +102,16 @@ def _cmd_replay(args, extras) -> int:
 
 def _cmd_serve(args) -> int:
     from .api.serve import SessionServer, serve_stdio, serve_tcp
+    from .config import KNOBS
 
-    # Wire-supplied save/restore paths are confined to the artifact root
-    # (default: the working directory) so clients cannot touch the rest of
-    # the filesystem.
     try:
+        # A malformed REPRO_* variable fails here, not in the first request
+        # (or the shutdown path) that happens to read the knob.
+        for knob in KNOBS.values():
+            knob.get()
+        # Wire-supplied save/restore paths are confined to the artifact
+        # root (default: the working directory) so clients cannot touch the
+        # rest of the filesystem.
         server = SessionServer(
             artifact_root=args.artifact_root,
             wal_root=args.wal_dir,

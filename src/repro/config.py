@@ -1,45 +1,37 @@
-"""Global configuration knobs for the library.
+"""Process-wide configuration knobs, declared in one table.
 
-The hot paths of IIM (neighbour search, per-candidate model learning, the
-validation step of adaptive learning and batch imputation) exist in two
-implementations:
+Every knob is one :class:`Knob` row of :data:`KNOBS` (bottom of this
+module): a name, the ``REPRO_*`` environment variable that seeds it, a
+default (one of the documented ``DEFAULT_*`` constants below) and a
+validator.  Each row is exported as three accessors: ``get_<name>()``,
+``set_<name>(value)``, which returns the previous value, and
+``resolve_<name>(value)``, which resolves a per-call argument (an engine,
+server or function parameter) against the knob.  The README's
+*Configuration* section lists every row with its CLI flag and accepted
+values.
 
-* ``"vectorized"`` — batched numpy kernels that process whole blocks of
-  tuples per array operation (the default; see the design notes in
-  :mod:`repro.core.learning`);
-* ``"loop"`` — the original per-tuple Python loops, kept as an executable
-  reference.  The test suite asserts that both backends produce the same
-  results to within ``rtol = 1e-9``.
+The rules are the same for every row:
 
-The active backend is selected, in decreasing priority, by
+* a value comes, in decreasing priority, from an explicit per-call
+  argument, then ``set_<name>``, then the environment variable, then the
+  default;
+* the environment is read at import but validated at first use, so a
+  typo'd ``REPRO_*`` variable fails with a :class:`ConfigurationError`
+  naming the variable and the knob when the knob is needed, never
+  ``import repro`` itself.  The validated value is then cached: a getter
+  on a hot path (``get_obs_enabled`` runs per metric mutation) is one
+  attribute read;
+* ``resolve_<name>("default")`` defers to the knob; so does
+  ``resolve_<name>(None)``, unless ``None`` is itself a legal value of the
+  knob (it means "unbounded" or "disabled" for the model cache size, the
+  fallback fraction, the request-line bound, the deadline and the quotas);
+* numbers must be finite: ``nan`` and ``inf`` are rejected.
 
-1. an explicit ``backend=...`` argument on the function or class,
-2. the process-wide knob set through :func:`set_backend` /
-   :func:`use_backend`,
-3. the ``REPRO_BACKEND`` environment variable read at import time,
-4. the ``"vectorized"`` default.
-
-The module also holds the process-wide defaults of the online imputation
-engine (:mod:`repro.online`):
-
-* the **model cache size** — how many per-attribute model states the engine
-  keeps resident (LRU-evicted beyond that; ``None`` keeps all of them) —
-  settable through :func:`set_online_model_cache_size` or the
-  ``REPRO_ONLINE_CACHE_SIZE`` environment variable (``none``/``0`` =
-  unbounded);
-* the **refresh policy** — ``"lazy"`` (appends are folded into the cached
-  model states on the next imputation touching them, so consecutive appends
-  batch into one refresh) or ``"eager"`` (every append refreshes all cached
-  states immediately) — settable through :func:`set_online_refresh_policy`
-  or the ``REPRO_ONLINE_REFRESH`` environment variable;
-* the **incremental fallback fraction** — the hybrid relearn threshold: when
-  one mutation batch (append/delete/update) dirties more than this fraction
-  of an attribute state's tuples, the engine relearns that state with one
-  vectorized full rebuild over the already-maintained neighbour orderings
-  instead of paying per-row merge bookkeeping for no savings — settable
-  through :func:`set_online_fallback_fraction` or the
-  ``REPRO_ONLINE_FALLBACK_FRACTION`` environment variable (``none``
-  disables the fallback, keeping the engine always-incremental).
+The ``backend`` knob selects the implementation of the IIM hot paths
+(neighbour search, per-candidate learning, adaptive validation, batch
+imputation): ``"vectorized"`` batched numpy kernels (the default; see
+:mod:`repro.core.learning`) or the ``"loop"`` per-tuple reference, which
+the test suite holds to the same results within ``rtol = 1e-9``.
 """
 
 from __future__ import annotations
@@ -47,102 +39,30 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from .exceptions import ConfigurationError
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "resolve_backend",
-    "ONLINE_REFRESH_POLICIES",
-    "DEFAULT_ONLINE_MODEL_CACHE_SIZE",
-    "DEFAULT_ONLINE_REFRESH_POLICY",
-    "get_online_model_cache_size",
-    "set_online_model_cache_size",
-    "resolve_online_model_cache_size",
-    "get_online_refresh_policy",
-    "set_online_refresh_policy",
-    "resolve_online_refresh_policy",
-    "DEFAULT_ONLINE_FALLBACK_FRACTION",
-    "get_online_fallback_fraction",
-    "set_online_fallback_fraction",
-    "resolve_online_fallback_fraction",
-    "DEFAULT_ONLINE_SHARD_CAPACITY",
-    "get_online_shard_capacity",
-    "set_online_shard_capacity",
-    "resolve_online_shard_capacity",
-    "DEFAULT_ONLINE_JOURNAL_CAPACITY",
-    "get_online_journal_capacity",
-    "set_online_journal_capacity",
-    "resolve_online_journal_capacity",
-    "ONLINE_DELETE_COST_MODES",
-    "DEFAULT_ONLINE_DELETE_COST_MODE",
-    "get_online_delete_cost_mode",
-    "set_online_delete_cost_mode",
-    "resolve_online_delete_cost_mode",
-    "WAL_SYNC_POLICIES",
-    "DEFAULT_WAL_SYNC",
-    "get_wal_sync",
-    "set_wal_sync",
-    "resolve_wal_sync",
-    "DEFAULT_MAX_REQUEST_BYTES",
-    "get_max_request_bytes",
-    "set_max_request_bytes",
-    "resolve_max_request_bytes",
-    "DEFAULT_REQUEST_DEADLINE",
-    "get_request_deadline",
-    "set_request_deadline",
-    "resolve_request_deadline",
-    "DEFAULT_SERVE_WORKERS",
-    "get_serve_workers",
-    "set_serve_workers",
-    "resolve_serve_workers",
-    "DEFAULT_MICROBATCH_WINDOW_MS",
-    "get_microbatch_window_ms",
-    "set_microbatch_window_ms",
-    "resolve_microbatch_window_ms",
-    "DEFAULT_MICROBATCH_MAX_ROWS",
-    "get_microbatch_max_rows",
-    "set_microbatch_max_rows",
-    "resolve_microbatch_max_rows",
-    "DEFAULT_MAX_ROWS_PER_REQUEST",
-    "get_max_rows_per_request",
-    "set_max_rows_per_request",
-    "resolve_max_rows_per_request",
-    "DEFAULT_MAX_SESSIONS",
-    "get_max_sessions",
-    "set_max_sessions",
-    "resolve_max_sessions",
-    "DEFAULT_MAX_QUEUED_REQUESTS",
-    "get_max_queued_requests",
-    "set_max_queued_requests",
-    "resolve_max_queued_requests",
-    "DEFAULT_OBS_ENABLED",
-    "get_obs_enabled",
-    "set_obs_enabled",
-    "resolve_obs_enabled",
-    "DEFAULT_QUERY_PROVENANCE",
-    "get_query_provenance",
-    "set_query_provenance",
-    "resolve_query_provenance",
-    "DEFAULT_OBS_TRACE_SAMPLE",
-    "get_obs_trace_sample",
-    "set_obs_trace_sample",
-    "resolve_obs_trace_sample",
-    "SCENARIO_TRANSPORTS",
-    "DEFAULT_SCENARIO_TRANSPORT",
-    "get_scenario_transport",
-    "set_scenario_transport",
-    "resolve_scenario_transport",
+__all__ = [  # plus every row's get_/set_/resolve_ accessors (end of module)
+    "Knob", "KNOBS", "use_backend",
+    "BACKENDS", "ONLINE_REFRESH_POLICIES", "ONLINE_DELETE_COST_MODES",
+    "WAL_SYNC_POLICIES", "SCENARIO_TRANSPORTS",
+    "DEFAULT_BACKEND", "DEFAULT_ONLINE_MODEL_CACHE_SIZE",
+    "DEFAULT_ONLINE_REFRESH_POLICY", "DEFAULT_ONLINE_FALLBACK_FRACTION",
+    "DEFAULT_ONLINE_SHARD_CAPACITY", "DEFAULT_ONLINE_JOURNAL_CAPACITY",
+    "DEFAULT_ONLINE_DELETE_COST_MODE", "DEFAULT_WAL_SYNC",
+    "DEFAULT_MAX_REQUEST_BYTES", "DEFAULT_REQUEST_DEADLINE",
+    "DEFAULT_SERVE_WORKERS", "DEFAULT_MICROBATCH_WINDOW_MS",
+    "DEFAULT_MICROBATCH_MAX_ROWS", "DEFAULT_MAX_ROWS_PER_REQUEST",
+    "DEFAULT_MAX_SESSIONS", "DEFAULT_MAX_QUEUED_REQUESTS",
+    "DEFAULT_OBS_ENABLED", "DEFAULT_QUERY_PROVENANCE",
+    "DEFAULT_OBS_TRACE_SAMPLE", "DEFAULT_SCENARIO_TRANSPORT",
     "DEFAULT_SCENARIO_DIGEST_CHECK",
-    "get_scenario_digest_check",
-    "set_scenario_digest_check",
-    "resolve_scenario_digest_check",
 ]
+
+# --------------------------------------------------------------------------- #
+# Choices and defaults
+# --------------------------------------------------------------------------- #
 
 #: Recognised kernel backends.
 BACKENDS = ("vectorized", "loop")
@@ -150,64 +70,14 @@ BACKENDS = ("vectorized", "loop")
 #: Backend used when neither an argument nor :func:`set_backend` selects one.
 DEFAULT_BACKEND = "vectorized"
 
-
-def _validate(name: str) -> str:
-    key = str(name).lower()
-    if key not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available backends: {sorted(BACKENDS)}"
-        )
-    return key
-
-
-# Read but not validated here: a typo'd REPRO_BACKEND should fail at first
-# use with a clear error, not break ``import repro`` itself.
-_current_backend = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
-
-
-def get_backend() -> str:
-    """The process-wide kernel backend (``"vectorized"`` or ``"loop"``)."""
-    return _validate(_current_backend)
-
-
-def set_backend(name: str) -> str:
-    """Select the process-wide kernel backend; returns the previous one."""
-    global _current_backend
-    previous = get_backend()
-    _current_backend = _validate(name)
-    return previous
-
-
-@contextmanager
-def use_backend(name: str):
-    """Context manager that temporarily selects a kernel backend.
-
-    >>> from repro.config import use_backend
-    >>> with use_backend("loop"):
-    ...     pass  # everything inside runs on the reference loops
-    """
-    previous = set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def resolve_backend(backend=None) -> str:
-    """Resolve an optional per-call ``backend`` argument against the knob."""
-    if backend is None or (isinstance(backend, str) and backend == "default"):
-        return get_backend()
-    return _validate(backend)
-
-
-# --------------------------------------------------------------------------- #
-# Online engine knobs
-# --------------------------------------------------------------------------- #
-
-#: Recognised refresh policies of :class:`repro.online.OnlineImputationEngine`.
+#: Recognised refresh policies of :class:`repro.online.OnlineImputationEngine`:
+#: ``"lazy"`` folds appends into the cached model states on the next
+#: imputation touching them (consecutive appends batch into one refresh);
+#: ``"eager"`` refreshes every cached state on each append.
 ONLINE_REFRESH_POLICIES = ("lazy", "eager")
 
-#: Per-attribute model states the engine keeps resident by default.
+#: Per-attribute model states the engine keeps resident by default
+#: (LRU-evicted beyond that; ``None`` or ``0`` keeps all of them).
 DEFAULT_ONLINE_MODEL_CACHE_SIZE: Optional[int] = 8
 
 #: Refresh policy used when neither an argument nor the knob selects one.
@@ -218,152 +88,8 @@ DEFAULT_ONLINE_REFRESH_POLICY = "lazy"
 #: rebuild instead of the per-row incremental path.  Below the threshold
 #: the batched subset relearn still skips enough rows to win; above it the
 #: wholesale rebuild caps the per-sync bookkeeping at the cold-relearn cost.
+#: ``None`` disables the fallback (the engine stays always-incremental).
 DEFAULT_ONLINE_FALLBACK_FRACTION: Optional[float] = 0.9
-
-
-def _validate_cache_size(size) -> Optional[int]:
-    if size is None:
-        return None
-    if isinstance(size, str):
-        key = size.strip().lower()
-        if key in ("none", "unbounded", ""):
-            return None
-        try:
-            size = int(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"model cache size must be a positive integer or 'none', got {size!r}"
-            ) from None
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise ConfigurationError(
-            f"model cache size must be a positive integer or None, got {size!r}"
-        )
-    if size == 0:
-        return None
-    if size < 0:
-        raise ConfigurationError(f"model cache size must be positive, got {size}")
-    return size
-
-
-def _validate_refresh_policy(policy) -> str:
-    key = str(policy).lower()
-    if key not in ONLINE_REFRESH_POLICIES:
-        raise ConfigurationError(
-            f"unknown refresh policy {policy!r}; available policies: "
-            f"{sorted(ONLINE_REFRESH_POLICIES)}"
-        )
-    return key
-
-
-def _validate_fallback_fraction(fraction) -> Optional[float]:
-    if fraction is None:
-        return None
-    if isinstance(fraction, str):
-        key = fraction.strip().lower()
-        if key in ("none", "off", "disabled", ""):
-            return None
-        try:
-            fraction = float(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"fallback fraction must be a float in [0, 1] or 'none', "
-                f"got {fraction!r}"
-            ) from None
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise ConfigurationError(
-            f"fallback fraction must be a float in [0, 1] or None, got {fraction!r}"
-        )
-    fraction = float(fraction)
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(
-            f"fallback fraction must lie in [0, 1], got {fraction}"
-        )
-    return fraction
-
-
-# Like REPRO_BACKEND, the environment values are validated at first use.
-_online_model_cache_size = os.environ.get(
-    "REPRO_ONLINE_CACHE_SIZE", DEFAULT_ONLINE_MODEL_CACHE_SIZE
-)
-_online_refresh_policy = os.environ.get(
-    "REPRO_ONLINE_REFRESH", DEFAULT_ONLINE_REFRESH_POLICY
-)
-_online_fallback_fraction = os.environ.get(
-    "REPRO_ONLINE_FALLBACK_FRACTION", DEFAULT_ONLINE_FALLBACK_FRACTION
-)
-
-
-def get_online_model_cache_size() -> Optional[int]:
-    """The process-wide engine model cache size (``None`` = unbounded)."""
-    return _validate_cache_size(_online_model_cache_size)
-
-
-def set_online_model_cache_size(size) -> Optional[int]:
-    """Select the process-wide model cache size; returns the previous one."""
-    global _online_model_cache_size
-    previous = get_online_model_cache_size()
-    _online_model_cache_size = _validate_cache_size(size)
-    return previous
-
-
-def resolve_online_model_cache_size(size=None) -> Optional[int]:
-    """Resolve an optional per-engine cache size against the knob.
-
-    The sentinel ``"default"`` (what the engine constructor uses) defers to
-    the process-wide knob; ``None`` explicitly selects an unbounded cache.
-    """
-    if isinstance(size, str) and size == "default":
-        return get_online_model_cache_size()
-    return _validate_cache_size(size)
-
-
-def get_online_refresh_policy() -> str:
-    """The process-wide engine refresh policy (``"lazy"`` or ``"eager"``)."""
-    return _validate_refresh_policy(_online_refresh_policy)
-
-
-def set_online_refresh_policy(policy) -> str:
-    """Select the process-wide refresh policy; returns the previous one."""
-    global _online_refresh_policy
-    previous = get_online_refresh_policy()
-    _online_refresh_policy = _validate_refresh_policy(policy)
-    return previous
-
-
-def resolve_online_refresh_policy(policy=None) -> str:
-    """Resolve an optional per-engine refresh policy against the knob."""
-    if policy is None or (isinstance(policy, str) and policy == "default"):
-        return get_online_refresh_policy()
-    return _validate_refresh_policy(policy)
-
-
-def get_online_fallback_fraction() -> Optional[float]:
-    """The process-wide hybrid relearn threshold (``None`` = always incremental)."""
-    return _validate_fallback_fraction(_online_fallback_fraction)
-
-
-def set_online_fallback_fraction(fraction):
-    """Select the process-wide fallback fraction; returns the previous one."""
-    global _online_fallback_fraction
-    previous = get_online_fallback_fraction()
-    _online_fallback_fraction = _validate_fallback_fraction(fraction)
-    return previous
-
-
-def resolve_online_fallback_fraction(fraction=None) -> Optional[float]:
-    """Resolve an optional per-engine fallback fraction against the knob.
-
-    The sentinel ``"default"`` (what the engine constructor uses) defers to
-    the process-wide knob; ``None`` explicitly disables the fallback.
-    """
-    if isinstance(fraction, str) and fraction == "default":
-        return get_online_fallback_fraction()
-    return _validate_fallback_fraction(fraction)
-
-
-# --------------------------------------------------------------------------- #
-# Columnar store / journal knobs
-# --------------------------------------------------------------------------- #
 
 #: Rows per shard of the engine's columnar tuple store.  Appends allocate
 #: whole shards (existing rows never move); mutation bookkeeping touches
@@ -386,107 +112,6 @@ ONLINE_DELETE_COST_MODES = ("rebuild", "decrement")
 #: to the rebuild when the subtraction would amplify rounding.
 DEFAULT_ONLINE_DELETE_COST_MODE = "rebuild"
 
-
-def _validate_positive_knob(value, name: str) -> int:
-    if isinstance(value, str):
-        try:
-            value = int(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"{name} must be a positive integer, got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _validate_delete_cost_mode(mode) -> str:
-    key = str(mode).lower()
-    if key not in ONLINE_DELETE_COST_MODES:
-        raise ConfigurationError(
-            f"unknown delete cost mode {mode!r}; available modes: "
-            f"{sorted(ONLINE_DELETE_COST_MODES)}"
-        )
-    return key
-
-
-_online_shard_capacity = os.environ.get(
-    "REPRO_ONLINE_SHARD_CAPACITY", DEFAULT_ONLINE_SHARD_CAPACITY
-)
-_online_journal_capacity = os.environ.get(
-    "REPRO_ONLINE_JOURNAL_CAPACITY", DEFAULT_ONLINE_JOURNAL_CAPACITY
-)
-_online_delete_cost_mode = os.environ.get(
-    "REPRO_ONLINE_DELETE_COST", DEFAULT_ONLINE_DELETE_COST_MODE
-)
-
-
-def get_online_shard_capacity() -> int:
-    """The process-wide columnar-store shard capacity (rows per shard)."""
-    return _validate_positive_knob(_online_shard_capacity, "shard capacity")
-
-
-def set_online_shard_capacity(capacity):
-    """Select the process-wide shard capacity; returns the previous one."""
-    global _online_shard_capacity
-    previous = get_online_shard_capacity()
-    _online_shard_capacity = _validate_positive_knob(capacity, "shard capacity")
-    return previous
-
-
-def resolve_online_shard_capacity(capacity=None) -> int:
-    """Resolve an optional per-engine shard capacity against the knob."""
-    if capacity is None or (isinstance(capacity, str) and capacity == "default"):
-        return get_online_shard_capacity()
-    return _validate_positive_knob(capacity, "shard capacity")
-
-
-def get_online_journal_capacity() -> int:
-    """The process-wide mutation-journal ring capacity (entries)."""
-    return _validate_positive_knob(_online_journal_capacity, "journal capacity")
-
-
-def set_online_journal_capacity(capacity):
-    """Select the process-wide journal capacity; returns the previous one."""
-    global _online_journal_capacity
-    previous = get_online_journal_capacity()
-    _online_journal_capacity = _validate_positive_knob(capacity, "journal capacity")
-    return previous
-
-
-def resolve_online_journal_capacity(capacity=None) -> int:
-    """Resolve an optional per-engine journal capacity against the knob."""
-    if capacity is None or (isinstance(capacity, str) and capacity == "default"):
-        return get_online_journal_capacity()
-    return _validate_positive_knob(capacity, "journal capacity")
-
-
-def get_online_delete_cost_mode() -> str:
-    """The process-wide delete cost mode (``"rebuild"`` or ``"decrement"``)."""
-    return _validate_delete_cost_mode(_online_delete_cost_mode)
-
-
-def set_online_delete_cost_mode(mode):
-    """Select the process-wide delete cost mode; returns the previous one."""
-    global _online_delete_cost_mode
-    previous = get_online_delete_cost_mode()
-    _online_delete_cost_mode = _validate_delete_cost_mode(mode)
-    return previous
-
-
-def resolve_online_delete_cost_mode(mode=None) -> str:
-    """Resolve an optional per-engine delete cost mode against the knob."""
-    if mode is None or (isinstance(mode, str) and mode == "default"):
-        return get_online_delete_cost_mode()
-    return _validate_delete_cost_mode(mode)
-
-
-# --------------------------------------------------------------------------- #
-# Reliability knobs (write-ahead log + serve loop)
-# --------------------------------------------------------------------------- #
-
 #: Recognised WAL fsync policies of :class:`repro.reliability.WriteAheadLog`:
 #: ``"always"`` fsyncs every record (survives power loss), ``"batch"``
 #: flushes to the OS once per accepted mutation batch (survives a process
@@ -507,150 +132,6 @@ DEFAULT_MAX_REQUEST_BYTES: Optional[int] = 1_048_576
 #: deadline).  An overrunning request answers ``DeadlineExceededError``
 #: while the worker finishes in the background.
 DEFAULT_REQUEST_DEADLINE: Optional[float] = None
-
-
-def _validate_wal_sync(policy) -> str:
-    key = str(policy).lower()
-    if key not in WAL_SYNC_POLICIES:
-        raise ConfigurationError(
-            f"unknown WAL sync policy {policy!r}; available policies: "
-            f"{sorted(WAL_SYNC_POLICIES)}"
-        )
-    return key
-
-
-def _validate_max_request_bytes(limit) -> Optional[int]:
-    if limit is None:
-        return None
-    if isinstance(limit, str):
-        key = limit.strip().lower()
-        if key in ("none", "unbounded", ""):
-            return None
-        try:
-            limit = int(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"max request bytes must be a positive integer or 'none', "
-                f"got {limit!r}"
-            ) from None
-    if isinstance(limit, bool) or not isinstance(limit, int):
-        raise ConfigurationError(
-            f"max request bytes must be a positive integer or None, got {limit!r}"
-        )
-    if limit <= 0:
-        raise ConfigurationError(
-            f"max request bytes must be positive, got {limit}"
-        )
-    return limit
-
-
-def _validate_request_deadline(deadline) -> Optional[float]:
-    if deadline is None:
-        return None
-    if isinstance(deadline, str):
-        key = deadline.strip().lower()
-        if key in ("none", "off", ""):
-            return None
-        try:
-            deadline = float(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"request deadline must be a positive number of seconds or "
-                f"'none', got {deadline!r}"
-            ) from None
-    if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
-        raise ConfigurationError(
-            f"request deadline must be a positive number of seconds or None, "
-            f"got {deadline!r}"
-        )
-    deadline = float(deadline)
-    if not math.isfinite(deadline) or deadline <= 0:
-        raise ConfigurationError(
-            f"request deadline must be positive, got {deadline}"
-        )
-    return deadline
-
-
-_wal_sync = os.environ.get("REPRO_WAL_SYNC", DEFAULT_WAL_SYNC)
-_max_request_bytes = os.environ.get(
-    "REPRO_MAX_REQUEST_BYTES", DEFAULT_MAX_REQUEST_BYTES
-)
-_request_deadline = os.environ.get(
-    "REPRO_REQUEST_DEADLINE", DEFAULT_REQUEST_DEADLINE
-)
-
-
-def get_wal_sync() -> str:
-    """The process-wide WAL sync policy (``always``/``batch``/``off``)."""
-    return _validate_wal_sync(_wal_sync)
-
-
-def set_wal_sync(policy) -> str:
-    """Select the process-wide WAL sync policy; returns the previous one."""
-    global _wal_sync
-    previous = get_wal_sync()
-    _wal_sync = _validate_wal_sync(policy)
-    return previous
-
-
-def resolve_wal_sync(policy=None) -> str:
-    """Resolve an optional per-WAL sync policy against the knob."""
-    if policy is None or (isinstance(policy, str) and policy == "default"):
-        return get_wal_sync()
-    return _validate_wal_sync(policy)
-
-
-def get_max_request_bytes() -> Optional[int]:
-    """The process-wide request-line bound (``None`` = unbounded)."""
-    return _validate_max_request_bytes(_max_request_bytes)
-
-
-def set_max_request_bytes(limit):
-    """Select the process-wide request-line bound; returns the previous one."""
-    global _max_request_bytes
-    previous = get_max_request_bytes()
-    _max_request_bytes = _validate_max_request_bytes(limit)
-    return previous
-
-
-def resolve_max_request_bytes(limit=None) -> Optional[int]:
-    """Resolve an optional per-server line bound against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the bound.
-    """
-    if isinstance(limit, str) and limit == "default":
-        return get_max_request_bytes()
-    return _validate_max_request_bytes(limit)
-
-
-def get_request_deadline() -> Optional[float]:
-    """The process-wide per-request deadline in seconds (``None`` = none)."""
-    return _validate_request_deadline(_request_deadline)
-
-
-def set_request_deadline(deadline):
-    """Select the process-wide request deadline; returns the previous one."""
-    global _request_deadline
-    previous = get_request_deadline()
-    _request_deadline = _validate_request_deadline(deadline)
-    return previous
-
-
-def resolve_request_deadline(deadline=None) -> Optional[float]:
-    """Resolve an optional per-server deadline against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the deadline.
-    """
-    if isinstance(deadline, str) and deadline == "default":
-        return get_request_deadline()
-    return _validate_request_deadline(deadline)
-
-
-# --------------------------------------------------------------------------- #
-# Serving concurrency + admission knobs (scheduler, micro-batcher, quotas)
-# --------------------------------------------------------------------------- #
 
 #: Worker threads draining session queues in the serve loop's scheduler.
 #: Sessions are independent engines and numpy releases the GIL inside the
@@ -682,196 +163,17 @@ DEFAULT_MAX_SESSIONS: Optional[int] = None
 #: answered a typed ``overloaded`` error instead of growing the queue.
 DEFAULT_MAX_QUEUED_REQUESTS = 256
 
-
-def _validate_optional_positive_knob(value, name: str) -> Optional[int]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("none", "unbounded", ""):
-            return None
-        value = key
-    return _validate_positive_knob(value, name)
-
-
-def _validate_microbatch_window(value) -> float:
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"microbatch window must be a non-negative number of "
-                f"milliseconds, got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"microbatch window must be a non-negative number of "
-            f"milliseconds, got {value!r}"
-        )
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ConfigurationError(
-            f"microbatch window must be non-negative, got {value}"
-        )
-    return value
-
-
-_serve_workers = os.environ.get("REPRO_SERVE_WORKERS", DEFAULT_SERVE_WORKERS)
-_microbatch_window_ms = os.environ.get(
-    "REPRO_MICROBATCH_WINDOW_MS", DEFAULT_MICROBATCH_WINDOW_MS
-)
-_microbatch_max_rows = os.environ.get(
-    "REPRO_MICROBATCH_MAX_ROWS", DEFAULT_MICROBATCH_MAX_ROWS
-)
-_max_rows_per_request = os.environ.get(
-    "REPRO_MAX_ROWS_PER_REQUEST", DEFAULT_MAX_ROWS_PER_REQUEST
-)
-_max_sessions = os.environ.get("REPRO_MAX_SESSIONS", DEFAULT_MAX_SESSIONS)
-_max_queued_requests = os.environ.get(
-    "REPRO_MAX_QUEUED_REQUESTS", DEFAULT_MAX_QUEUED_REQUESTS
-)
-
-
-def get_serve_workers() -> int:
-    """The process-wide serve worker-pool size."""
-    return _validate_positive_knob(_serve_workers, "serve workers")
-
-
-def set_serve_workers(workers):
-    """Select the process-wide worker-pool size; returns the previous one."""
-    global _serve_workers
-    previous = get_serve_workers()
-    _serve_workers = _validate_positive_knob(workers, "serve workers")
-    return previous
-
-
-def resolve_serve_workers(workers=None) -> int:
-    """Resolve an optional per-server worker-pool size against the knob."""
-    if workers is None or (isinstance(workers, str) and workers == "default"):
-        return get_serve_workers()
-    return _validate_positive_knob(workers, "serve workers")
-
-
-def get_microbatch_window_ms() -> float:
-    """The process-wide micro-batch coalescing window in milliseconds."""
-    return _validate_microbatch_window(_microbatch_window_ms)
-
-
-def set_microbatch_window_ms(window):
-    """Select the process-wide coalescing window; returns the previous one."""
-    global _microbatch_window_ms
-    previous = get_microbatch_window_ms()
-    _microbatch_window_ms = _validate_microbatch_window(window)
-    return previous
-
-
-def resolve_microbatch_window_ms(window=None) -> float:
-    """Resolve an optional per-server coalescing window against the knob."""
-    if window is None or (isinstance(window, str) and window == "default"):
-        return get_microbatch_window_ms()
-    return _validate_microbatch_window(window)
-
-
-def get_microbatch_max_rows() -> int:
-    """The process-wide bound on rows per coalesced impute batch."""
-    return _validate_positive_knob(_microbatch_max_rows, "microbatch max rows")
-
-
-def set_microbatch_max_rows(rows):
-    """Select the process-wide micro-batch row bound; returns the previous one."""
-    global _microbatch_max_rows
-    previous = get_microbatch_max_rows()
-    _microbatch_max_rows = _validate_positive_knob(rows, "microbatch max rows")
-    return previous
-
-
-def resolve_microbatch_max_rows(rows=None) -> int:
-    """Resolve an optional per-server micro-batch row bound against the knob."""
-    if rows is None or (isinstance(rows, str) and rows == "default"):
-        return get_microbatch_max_rows()
-    return _validate_positive_knob(rows, "microbatch max rows")
-
-
-def get_max_rows_per_request() -> Optional[int]:
-    """The process-wide per-request row quota (``None`` = unbounded)."""
-    return _validate_optional_positive_knob(
-        _max_rows_per_request, "max rows per request"
-    )
-
-
-def set_max_rows_per_request(rows):
-    """Select the process-wide per-request row quota; returns the previous one."""
-    global _max_rows_per_request
-    previous = get_max_rows_per_request()
-    _max_rows_per_request = _validate_optional_positive_knob(
-        rows, "max rows per request"
-    )
-    return previous
-
-
-def resolve_max_rows_per_request(rows=None) -> Optional[int]:
-    """Resolve an optional per-server row quota against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the quota.
-    """
-    if isinstance(rows, str) and rows == "default":
-        return get_max_rows_per_request()
-    return _validate_optional_positive_knob(rows, "max rows per request")
-
-
-def get_max_sessions() -> Optional[int]:
-    """The process-wide live-session quota (``None`` = unbounded)."""
-    return _validate_optional_positive_knob(_max_sessions, "max sessions")
-
-
-def set_max_sessions(limit):
-    """Select the process-wide live-session quota; returns the previous one."""
-    global _max_sessions
-    previous = get_max_sessions()
-    _max_sessions = _validate_optional_positive_knob(limit, "max sessions")
-    return previous
-
-
-def resolve_max_sessions(limit=None) -> Optional[int]:
-    """Resolve an optional per-server session quota against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the quota.
-    """
-    if isinstance(limit, str) and limit == "default":
-        return get_max_sessions()
-    return _validate_optional_positive_knob(limit, "max sessions")
-
-
-def get_max_queued_requests() -> int:
-    """The process-wide bound on one session's queued requests."""
-    return _validate_positive_knob(_max_queued_requests, "max queued requests")
-
-
-def set_max_queued_requests(limit):
-    """Select the process-wide queue bound; returns the previous one."""
-    global _max_queued_requests
-    previous = get_max_queued_requests()
-    _max_queued_requests = _validate_positive_knob(limit, "max queued requests")
-    return previous
-
-
-def resolve_max_queued_requests(limit=None) -> int:
-    """Resolve an optional per-server queue bound against the knob."""
-    if limit is None or (isinstance(limit, str) and limit == "default"):
-        return get_max_queued_requests()
-    return _validate_positive_knob(limit, "max queued requests")
-
-
-# --------------------------------------------------------------------------- #
-# Observability knobs (metrics registry + request tracing)
-# --------------------------------------------------------------------------- #
-
 #: Whether the observability layer (:mod:`repro.obs`) records anything.
 #: Disabled, every instrument and span helper returns before taking a
 #: lock, so the remaining cost at a call site is one boolean check.
 DEFAULT_OBS_ENABLED = True
+
+#: Whether query execution captures per-imputed-cell provenance (method,
+#: neighbour indices, combiner weights, confidence).  Capture costs a small
+#: Python loop over the imputed cells, so sessions serving very wide
+#: impute-heavy queries can switch it off; ``EXPLAIN`` output and the
+#: ``provenance`` wire field are empty while disabled.
+DEFAULT_QUERY_PROVENANCE = True
 
 #: Fraction of serve-loop requests whose span tree is captured (trace IDs
 #: are always issued and every request lands in the latency histograms;
@@ -881,167 +183,6 @@ DEFAULT_OBS_ENABLED = True
 #: in ten; debugging sessions pass ``--trace-sample 1.0``.
 DEFAULT_OBS_TRACE_SAMPLE = 0.1
 
-
-def _validate_obs_enabled(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("1", "true", "yes", "on"):
-            return True
-        if key in ("0", "false", "no", "off", ""):
-            return False
-    raise ConfigurationError(
-        f"obs_enabled must be a boolean (or '1'/'0'/'true'/'false'/...), "
-        f"got {value!r}"
-    )
-
-
-def _validate_obs_trace_sample(value) -> float:
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"obs_trace_sample must be a number in [0, 1], got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"obs_trace_sample must be a number in [0, 1], got {value!r}"
-        )
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(
-            f"obs_trace_sample must be within [0, 1], got {value}"
-        )
-    return value
-
-
-_obs_enabled = os.environ.get("REPRO_OBS_ENABLED", DEFAULT_OBS_ENABLED)
-_obs_trace_sample = os.environ.get(
-    "REPRO_OBS_TRACE_SAMPLE", DEFAULT_OBS_TRACE_SAMPLE
-)
-
-
-def get_obs_enabled() -> bool:
-    """Whether the process-wide observability layer records anything.
-
-    This getter sits on every instrumented hot path (one call per metric
-    mutation), so unlike the other knobs it caches the validated value:
-    an env-supplied string is parsed on first use, after which each call
-    is one ``isinstance`` check.
-    """
-    global _obs_enabled
-    if not isinstance(_obs_enabled, bool):
-        _obs_enabled = _validate_obs_enabled(_obs_enabled)
-    return _obs_enabled
-
-
-def set_obs_enabled(value) -> bool:
-    """Enable/disable observability process-wide; returns the previous value.
-
-    Flipping the knob takes effect immediately for every already-created
-    instrument — the registry and every helper consult it per call.
-    """
-    global _obs_enabled
-    previous = get_obs_enabled()
-    _obs_enabled = _validate_obs_enabled(value)
-    return previous
-
-
-def resolve_obs_enabled(value=None) -> bool:
-    """Resolve an optional per-call override against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_obs_enabled()
-    return _validate_obs_enabled(value)
-
-
-def get_obs_trace_sample() -> float:
-    """The process-wide trace sampling rate in ``[0, 1]``.
-
-    Cached like :func:`get_obs_enabled` — consulted once per sampled
-    request, so the steady state is one ``isinstance`` check.
-    """
-    global _obs_trace_sample
-    if not isinstance(_obs_trace_sample, float):
-        _obs_trace_sample = _validate_obs_trace_sample(_obs_trace_sample)
-    return _obs_trace_sample
-
-
-def set_obs_trace_sample(value) -> float:
-    """Select the process-wide trace sampling rate; returns the previous one."""
-    global _obs_trace_sample
-    previous = get_obs_trace_sample()
-    _obs_trace_sample = _validate_obs_trace_sample(value)
-    return previous
-
-
-def resolve_obs_trace_sample(value=None) -> float:
-    """Resolve an optional per-server sampling rate against the knob.
-
-    The sentinel ``"default"`` (and ``None``) defers to the process-wide
-    knob.
-    """
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_obs_trace_sample()
-    return _validate_obs_trace_sample(value)
-
-
-# --------------------------------------------------------------------------- #
-# Query layer (repro.query)
-# --------------------------------------------------------------------------- #
-
-#: Whether query execution captures per-imputed-cell provenance (method,
-#: neighbour indices, combiner weights, confidence).  Capture costs a small
-#: Python loop over the imputed cells, so sessions serving very wide
-#: impute-heavy queries can switch it off; ``EXPLAIN`` output and the
-#: ``provenance`` wire field are empty while disabled.
-DEFAULT_QUERY_PROVENANCE = True
-
-
-def _validate_query_provenance(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("1", "true", "yes", "on"):
-            return True
-        if key in ("0", "false", "no", "off", ""):
-            return False
-    raise ConfigurationError(
-        f"query_provenance must be a boolean (or '1'/'0'/'true'/'false'/...), "
-        f"got {value!r}"
-    )
-
-
-_query_provenance = os.environ.get(
-    "REPRO_QUERY_PROVENANCE", DEFAULT_QUERY_PROVENANCE
-)
-
-
-def get_query_provenance() -> bool:
-    """Whether query execution records per-imputed-cell provenance."""
-    return _validate_query_provenance(_query_provenance)
-
-
-def set_query_provenance(value) -> bool:
-    """Enable/disable query provenance capture; returns the previous value."""
-    global _query_provenance
-    previous = get_query_provenance()
-    _query_provenance = _validate_query_provenance(value)
-    return previous
-
-
-def resolve_query_provenance(value=None) -> bool:
-    """Resolve an optional per-query override against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_query_provenance()
-    return _validate_query_provenance(value)
-
-
-# --------------------------------------------------------------------------- #
-# Scenario replayer (repro.scenarios)
-# --------------------------------------------------------------------------- #
 #: How the scenario replayer drives a spec: ``"engine"`` calls the online
 #: session facade directly, ``"serve"`` routes every event through the
 #: in-process JSONL serve loop, ``"tcp"`` goes through a real socket, and
@@ -1058,18 +199,57 @@ DEFAULT_SCENARIO_TRANSPORT = "auto"
 #: generator drift fails loudly before any event is driven.
 DEFAULT_SCENARIO_DIGEST_CHECK = True
 
+# --------------------------------------------------------------------------- #
+# Validators: each returns the normalised value or raises ``ValueError``
+# saying what a legal value looks like; Knob.validate words the error.
+# --------------------------------------------------------------------------- #
 
-def _validate_scenario_transport(value) -> str:
-    key = str(value).lower()
-    if key not in SCENARIO_TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown scenario transport {value!r}; available transports: "
-            f"{list(SCENARIO_TRANSPORTS)}"
-        )
-    return key
+#: Strings that spell ``None`` ("unbounded"/"disabled") for optional knobs.
+_NONE_WORDS = ("", "none", "unbounded", "off", "disabled")
 
 
-def _validate_scenario_digest_check(value) -> bool:
+def _number(value, kind):
+    """``value`` as a ``kind`` number (strings are parsed), else ``None``."""
+    if isinstance(value, str):
+        try:
+            return kind(value.strip())
+        except ValueError:
+            return None
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float) if kind is float else int
+    ):
+        return None
+    return kind(value)
+
+
+def _optional(parse: Callable, zero_is_none: bool = False) -> Callable:
+    """``parse`` that also accepts ``None`` (and the ``_NONE_WORDS``)."""
+    def optional(value):
+        if value is None or (
+            isinstance(value, str) and value.strip().lower() in _NONE_WORDS
+        ):
+            return None
+        if zero_is_none and _number(value, int) == 0:
+            return None
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{exc} or none") from None
+    return optional
+
+
+def choice(options, noun: str) -> Callable:
+    """One of ``options``, case-insensitively."""
+    def parse(value):
+        key = str(value).lower()
+        if key not in options:
+            raise ValueError(f"a {noun} in {list(options)}")
+        return key
+    return parse
+
+
+def boolean(value) -> bool:
+    """A bool, or one of the usual string spellings of one."""
     if isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -1078,55 +258,236 @@ def _validate_scenario_digest_check(value) -> bool:
             return True
         if key in ("0", "false", "no", "off", ""):
             return False
-    raise ConfigurationError(
-        f"scenario_digest_check must be a boolean (or '1'/'0'/'true'/"
-        f"'false'/...), got {value!r}"
+    raise ValueError(
+        "a boolean (or '1'/'0'/'true'/'false'/'yes'/'no'/'on'/'off')"
     )
 
 
-_scenario_transport = os.environ.get(
-    "REPRO_SCENARIO_TRANSPORT", DEFAULT_SCENARIO_TRANSPORT
-)
-_scenario_digest_check = os.environ.get(
-    "REPRO_SCENARIO_DIGEST_CHECK", DEFAULT_SCENARIO_DIGEST_CHECK
-)
+def positive_int(value) -> int:
+    """An integer ``>= 1``."""
+    number = _number(value, int)
+    if number is None or number <= 0:
+        raise ValueError("a positive integer")
+    return number
 
 
-def get_scenario_transport() -> str:
-    """The process-wide scenario replay transport (validated lazily)."""
-    return _validate_scenario_transport(_scenario_transport)
+def optional_positive_int(zero_is_none: bool = False) -> Callable:
+    """A positive integer or ``None`` (also spelt ``0`` if ``zero_is_none``)."""
+    return _optional(positive_int, zero_is_none)
 
 
-def set_scenario_transport(value) -> str:
-    """Select the scenario replay transport; returns the previous one."""
-    global _scenario_transport
-    previous = get_scenario_transport()
-    _scenario_transport = _validate_scenario_transport(value)
-    return previous
+def bounded_float(low: float, high: Optional[float] = None, *,
+                  low_open: bool = False, optional: bool = False) -> Callable:
+    """A finite float in ``[low, high]`` (excluding ``low`` if ``low_open``)."""
+    if high is not None:
+        expected = f"a number in [{low:g}, {high:g}]"
+    else:
+        expected = f"a finite number {'>' if low_open else '>='} {low:g}"
+
+    def parse(value):
+        number = _number(value, float)
+        if (number is None or not math.isfinite(number) or number < low
+                or (low_open and number == low)
+                or (high is not None and number > high)):
+            raise ValueError(expected)
+        return number
+    return _optional(parse) if optional else parse
 
 
-def resolve_scenario_transport(value=None) -> str:
-    """Resolve an optional per-call transport against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_scenario_transport()
-    return _validate_scenario_transport(value)
+# --------------------------------------------------------------------------- #
+# The knob table
+# --------------------------------------------------------------------------- #
+
+class Knob:
+    """One process-wide setting: its env var, default and validator."""
+
+    __slots__ = (
+        "name", "env", "default", "parse", "nullable", "_env", "_value",
+    )
+
+    def __init__(self, name: str, env: str, default, parse: Callable):
+        self.name = name
+        self.env = env
+        self.default = default
+        self.parse = parse
+        # Read now, validated at first use: a typo'd variable fails with a
+        # clear error when the knob is needed, not at ``import repro``.
+        self._env = os.environ.get(env)
+        # Whether None is a value of this knob (resolve(None) keeps it).
+        try:
+            self.nullable = parse(None) is None
+        except ValueError:
+            self.nullable = False
+
+    def validate(self, value):
+        """``value`` normalised, or a :class:`ConfigurationError` naming
+        the knob."""
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{self.name} must be {exc}, got {value!r}"
+            ) from None
+
+    def get(self):
+        """The current value; the first call validates and caches it."""
+        try:
+            return self._value
+        except AttributeError:
+            pass
+        value = self.default
+        if self._env is not None:
+            try:
+                value = self.validate(self._env)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{self.env}: {exc}") from None
+        self._value = value
+        return value
+
+    def set(self, value):
+        """Select the process-wide value; returns the previous one."""
+        value = self.validate(value)
+        previous = self.get()
+        self._value = value
+        return previous
+
+    def resolve(self, value=None):
+        """A per-call argument; ``"default"``, and ``None`` when it is not
+        a legal value, defer to the knob."""
+        if (value is None and not self.nullable) or (
+            isinstance(value, str) and value == "default"
+        ):
+            return self.get()
+        return self.validate(value)
 
 
-def get_scenario_digest_check() -> bool:
-    """Whether replays of registered scenarios verify the golden digest."""
-    return _validate_scenario_digest_check(_scenario_digest_check)
+KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("backend", "REPRO_BACKEND", DEFAULT_BACKEND,
+         choice(BACKENDS, "kernel backend")),
+    Knob("online_model_cache_size", "REPRO_ONLINE_CACHE_SIZE",
+         DEFAULT_ONLINE_MODEL_CACHE_SIZE,
+         optional_positive_int(zero_is_none=True)),
+    Knob("online_refresh_policy", "REPRO_ONLINE_REFRESH",
+         DEFAULT_ONLINE_REFRESH_POLICY,
+         choice(ONLINE_REFRESH_POLICIES, "refresh policy")),
+    Knob("online_fallback_fraction", "REPRO_ONLINE_FALLBACK_FRACTION",
+         DEFAULT_ONLINE_FALLBACK_FRACTION,
+         bounded_float(0.0, 1.0, optional=True)),
+    Knob("online_shard_capacity", "REPRO_ONLINE_SHARD_CAPACITY",
+         DEFAULT_ONLINE_SHARD_CAPACITY, positive_int),
+    Knob("online_journal_capacity", "REPRO_ONLINE_JOURNAL_CAPACITY",
+         DEFAULT_ONLINE_JOURNAL_CAPACITY, positive_int),
+    Knob("online_delete_cost_mode", "REPRO_ONLINE_DELETE_COST",
+         DEFAULT_ONLINE_DELETE_COST_MODE,
+         choice(ONLINE_DELETE_COST_MODES, "delete cost mode")),
+    Knob("wal_sync", "REPRO_WAL_SYNC", DEFAULT_WAL_SYNC,
+         choice(WAL_SYNC_POLICIES, "WAL sync policy")),
+    Knob("max_request_bytes", "REPRO_MAX_REQUEST_BYTES",
+         DEFAULT_MAX_REQUEST_BYTES, optional_positive_int()),
+    Knob("request_deadline", "REPRO_REQUEST_DEADLINE", DEFAULT_REQUEST_DEADLINE,
+         bounded_float(0.0, low_open=True, optional=True)),
+    Knob("serve_workers", "REPRO_SERVE_WORKERS", DEFAULT_SERVE_WORKERS,
+         positive_int),
+    Knob("microbatch_window_ms", "REPRO_MICROBATCH_WINDOW_MS",
+         DEFAULT_MICROBATCH_WINDOW_MS, bounded_float(0.0)),
+    Knob("microbatch_max_rows", "REPRO_MICROBATCH_MAX_ROWS",
+         DEFAULT_MICROBATCH_MAX_ROWS, positive_int),
+    Knob("max_rows_per_request", "REPRO_MAX_ROWS_PER_REQUEST",
+         DEFAULT_MAX_ROWS_PER_REQUEST, optional_positive_int()),
+    Knob("max_sessions", "REPRO_MAX_SESSIONS", DEFAULT_MAX_SESSIONS,
+         optional_positive_int()),
+    Knob("max_queued_requests", "REPRO_MAX_QUEUED_REQUESTS",
+         DEFAULT_MAX_QUEUED_REQUESTS, positive_int),
+    Knob("obs_enabled", "REPRO_OBS_ENABLED", DEFAULT_OBS_ENABLED, boolean),
+    Knob("query_provenance", "REPRO_QUERY_PROVENANCE", DEFAULT_QUERY_PROVENANCE,
+         boolean),
+    Knob("obs_trace_sample", "REPRO_OBS_TRACE_SAMPLE", DEFAULT_OBS_TRACE_SAMPLE,
+         bounded_float(0.0, 1.0)),
+    Knob("scenario_transport", "REPRO_SCENARIO_TRANSPORT",
+         DEFAULT_SCENARIO_TRANSPORT, choice(SCENARIO_TRANSPORTS, "transport")),
+    Knob("scenario_digest_check", "REPRO_SCENARIO_DIGEST_CHECK",
+         DEFAULT_SCENARIO_DIGEST_CHECK, boolean),
+)}
+
+# The public accessors: one binding per name to its table row.
+get_backend = KNOBS["backend"].get
+set_backend = KNOBS["backend"].set
+resolve_backend = KNOBS["backend"].resolve
+get_online_model_cache_size = KNOBS["online_model_cache_size"].get
+set_online_model_cache_size = KNOBS["online_model_cache_size"].set
+resolve_online_model_cache_size = KNOBS["online_model_cache_size"].resolve
+get_online_refresh_policy = KNOBS["online_refresh_policy"].get
+set_online_refresh_policy = KNOBS["online_refresh_policy"].set
+resolve_online_refresh_policy = KNOBS["online_refresh_policy"].resolve
+get_online_fallback_fraction = KNOBS["online_fallback_fraction"].get
+set_online_fallback_fraction = KNOBS["online_fallback_fraction"].set
+resolve_online_fallback_fraction = KNOBS["online_fallback_fraction"].resolve
+get_online_shard_capacity = KNOBS["online_shard_capacity"].get
+set_online_shard_capacity = KNOBS["online_shard_capacity"].set
+resolve_online_shard_capacity = KNOBS["online_shard_capacity"].resolve
+get_online_journal_capacity = KNOBS["online_journal_capacity"].get
+set_online_journal_capacity = KNOBS["online_journal_capacity"].set
+resolve_online_journal_capacity = KNOBS["online_journal_capacity"].resolve
+get_online_delete_cost_mode = KNOBS["online_delete_cost_mode"].get
+set_online_delete_cost_mode = KNOBS["online_delete_cost_mode"].set
+resolve_online_delete_cost_mode = KNOBS["online_delete_cost_mode"].resolve
+get_wal_sync = KNOBS["wal_sync"].get
+set_wal_sync = KNOBS["wal_sync"].set
+resolve_wal_sync = KNOBS["wal_sync"].resolve
+get_max_request_bytes = KNOBS["max_request_bytes"].get
+set_max_request_bytes = KNOBS["max_request_bytes"].set
+resolve_max_request_bytes = KNOBS["max_request_bytes"].resolve
+get_request_deadline = KNOBS["request_deadline"].get
+set_request_deadline = KNOBS["request_deadline"].set
+resolve_request_deadline = KNOBS["request_deadline"].resolve
+get_serve_workers = KNOBS["serve_workers"].get
+set_serve_workers = KNOBS["serve_workers"].set
+resolve_serve_workers = KNOBS["serve_workers"].resolve
+get_microbatch_window_ms = KNOBS["microbatch_window_ms"].get
+set_microbatch_window_ms = KNOBS["microbatch_window_ms"].set
+resolve_microbatch_window_ms = KNOBS["microbatch_window_ms"].resolve
+get_microbatch_max_rows = KNOBS["microbatch_max_rows"].get
+set_microbatch_max_rows = KNOBS["microbatch_max_rows"].set
+resolve_microbatch_max_rows = KNOBS["microbatch_max_rows"].resolve
+get_max_rows_per_request = KNOBS["max_rows_per_request"].get
+set_max_rows_per_request = KNOBS["max_rows_per_request"].set
+resolve_max_rows_per_request = KNOBS["max_rows_per_request"].resolve
+get_max_sessions = KNOBS["max_sessions"].get
+set_max_sessions = KNOBS["max_sessions"].set
+resolve_max_sessions = KNOBS["max_sessions"].resolve
+get_max_queued_requests = KNOBS["max_queued_requests"].get
+set_max_queued_requests = KNOBS["max_queued_requests"].set
+resolve_max_queued_requests = KNOBS["max_queued_requests"].resolve
+get_obs_enabled = KNOBS["obs_enabled"].get
+set_obs_enabled = KNOBS["obs_enabled"].set
+resolve_obs_enabled = KNOBS["obs_enabled"].resolve
+get_query_provenance = KNOBS["query_provenance"].get
+set_query_provenance = KNOBS["query_provenance"].set
+resolve_query_provenance = KNOBS["query_provenance"].resolve
+get_obs_trace_sample = KNOBS["obs_trace_sample"].get
+set_obs_trace_sample = KNOBS["obs_trace_sample"].set
+resolve_obs_trace_sample = KNOBS["obs_trace_sample"].resolve
+get_scenario_transport = KNOBS["scenario_transport"].get
+set_scenario_transport = KNOBS["scenario_transport"].set
+resolve_scenario_transport = KNOBS["scenario_transport"].resolve
+get_scenario_digest_check = KNOBS["scenario_digest_check"].get
+set_scenario_digest_check = KNOBS["scenario_digest_check"].set
+resolve_scenario_digest_check = KNOBS["scenario_digest_check"].resolve
+__all__ += [
+    f"{verb}_{name}" for name in KNOBS for verb in ("get", "set", "resolve")
+]
 
 
-def set_scenario_digest_check(value) -> bool:
-    """Enable/disable the golden-digest pre-check; returns the previous value."""
-    global _scenario_digest_check
-    previous = get_scenario_digest_check()
-    _scenario_digest_check = _validate_scenario_digest_check(value)
-    return previous
+@contextmanager
+def use_backend(name: str):
+    """Context manager that temporarily selects a kernel backend.
 
-
-def resolve_scenario_digest_check(value=None) -> bool:
-    """Resolve an optional per-call override against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_scenario_digest_check()
-    return _validate_scenario_digest_check(value)
+    >>> from repro.config import use_backend
+    >>> with use_backend("loop"):
+    ...     pass  # everything inside runs on the reference loops
+    """
+    previous = set_backend(name)
+    try:
+        yield
+    finally:
+        set_backend(previous)

@@ -38,11 +38,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..config import (
-    _validate_obs_trace_sample,
-    get_obs_enabled,
-    get_obs_trace_sample,
-)
+from ..config import KNOBS, get_obs_enabled, get_obs_trace_sample
 from ..exceptions import ConfigurationError
 
 __all__ = ["Tracer", "Span", "JsonlTraceSink", "TRACE_SEGMENT_SUFFIX"]
@@ -223,7 +219,7 @@ class Tracer:
                   sink: Optional["JsonlTraceSink"] = None) -> None:
         """Pin the sampling rate and/or attach a sink (serve startup)."""
         if sample is not None:
-            self._sample = _validate_obs_trace_sample(sample)
+            self._sample = KNOBS["obs_trace_sample"].validate(sample)
         if sink is not None:
             self.sink = sink
 

@@ -16,10 +16,9 @@ This package turns the batch reproduction into a long-lived service:
   JSON manifest.  Every :class:`~repro.baselines.base.BaseImputer` gains
   ``save`` / ``load`` through this layer; restoration is bit-for-bit.
 
-Run ``python -m repro replay --help`` for a CSV-trace replay demo (the old
-``python -m repro.online`` entry point forwards there behind a
-``DeprecationWarning``); :mod:`repro.api` fronts the engine behind the
-unified session protocol and the JSONL serve loop.
+Run ``python -m repro replay --help`` for a CSV-trace replay demo;
+:mod:`repro.api` fronts the engine behind the unified session protocol and
+the JSONL serve loop.
 
 Engine knobs (cache size, refresh policy) default to the process-wide
 values in :mod:`repro.config`.

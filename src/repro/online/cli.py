@@ -53,9 +53,6 @@ Replay a lifecycle trace with delete/update operations::
 No file at hand? Generate a synthetic trace from a paper dataset::
 
     python -m repro replay --demo 600 --dataset sn --missing-fraction 0.1
-
-(The old ``python -m repro.online`` entry point still works as a
-deprecation shim forwarding here.)
 """
 
 from __future__ import annotations

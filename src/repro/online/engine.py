@@ -1312,15 +1312,10 @@ class OnlineImputationEngine:
     def memory_stats(self) -> Dict[str, int]:
         """Resident-memory accounting across the store, journal and states.
 
-        ``legacy_state_copy_bytes`` is what the pre-sharding engine would
-        keep resident for the same cached states (one feature-submatrix
-        plus one target-column copy per state) — the memory the shared
-        columnar store eliminates.  ``state_slot_bytes`` is what the views
-        cost instead.
+        ``state_slot_bytes`` is what the cached states' views into the
+        shared columnar store cost (one slot index per row and state).
         """
         store = self._store
-        n = self._n
-        width = 0 if self._schema is None else self._schema.width
         state_slot_bytes = 0
         state_order_bytes = 0
         state_model_bytes = 0
@@ -1341,9 +1336,6 @@ class OnlineImputationEngine:
                     state_model_bytes += int(np.asarray(array).nbytes)
             if state.models is not None:
                 state_model_bytes += int(state.models.parameters.nbytes)
-        n_states = sum(
-            1 for state in self._states.values() if state.cache is not None
-        )
         return {
             "store_bytes": 0 if store is None else store.nbytes,
             "n_shards": 0 if store is None else store.n_shards,
@@ -1357,7 +1349,6 @@ class OnlineImputationEngine:
             "state_slot_bytes": state_slot_bytes,
             "state_order_bytes": state_order_bytes,
             "state_model_bytes": state_model_bytes,
-            "legacy_state_copy_bytes": int(n_states * n * width * 8),
         }
 
     # ------------------------------------------------------------------ #

@@ -1,14 +1,20 @@
-"""Tests for the consolidated CLI and the deprecated entry-point shim."""
+"""Tests for the consolidated CLI."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import repro
 from repro.__main__ import main as repro_main
 from repro.data import load_dataset
 from repro.data.io import read_csv, write_csv
 from repro.data.missing import inject_missing
+
+SRC = Path(repro.__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -175,47 +181,6 @@ class TestDeprecatedOpsFormat:
         assert "query statement language" in message
 
 
-class TestDeprecatedOnlineEntryPoint:
-    def test_shim_warns_exactly_once_and_still_works(self, capsys):
-        from repro.online.__main__ import main as deprecated_main
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = deprecated_main([
-                "--demo", "40", "--dataset", "sn", "--k", "3",
-                "--learning", "fixed", "--learning-neighbors", "3",
-            ])
-        assert code == 0
-        assert "store holds" in capsys.readouterr().out
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "python -m repro replay" in str(deprecations[0].message)
-
-    def test_shim_produces_identical_results(self, tmp_path, capsys):
-        """The shim and the new subcommand replay a trace identically."""
-        from repro.online.__main__ import main as deprecated_main
-
-        relation = load_dataset("sn", size=60)
-        injection = inject_missing(relation, fraction=0.1, random_state=3)
-        trace = tmp_path / "trace.csv"
-        write_csv(injection.dirty, trace)
-        args = [
-            str(trace), "--k", "3", "--learning", "fixed",
-            "--learning-neighbors", "3",
-        ]
-        old_out = tmp_path / "old.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert deprecated_main(args + ["--output", str(old_out)]) == 0
-        new_out = tmp_path / "new.csv"
-        assert repro_main(["replay"] + args + ["--output", str(new_out)]) == 0
-        capsys.readouterr()
-        np.testing.assert_array_equal(read_csv(old_out).raw, read_csv(new_out).raw)
-
-
 class TestRecoverSubcommand:
     @pytest.fixture
     def crashed_wal(self, tmp_path):
@@ -271,3 +236,20 @@ class TestBareInvocation:
     def test_no_subcommand_prints_help(self, capsys):
         assert repro_main([]) == 2
         assert "impute" in capsys.readouterr().out
+
+
+class TestServeStartup:
+    def test_a_malformed_environment_knob_exits_2_before_serving(self):
+        env = dict(os.environ)
+        env["REPRO_OBS_ENABLED"] = "maybe"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--stdio"], env=env,
+            input='{"cmd": "health"}\n', capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: REPRO_OBS_ENABLED"), proc.stderr
+        assert proc.stdout == ""
